@@ -17,7 +17,11 @@
 //!   item-interval chain: entering item `k` at slot `t` costs `β_n`
 //!   (free at `t = 0` for initially cached items), holding it collects
 //!   `r_{k,t}`, leaving is free. The min-cost flow of value `C_n` is the
-//!   optimal integral caching plan.
+//!   optimal integral caching plan. `solve_caching_all`, the one entry point
+//!   Algorithm 1 calls, builds each SBS's network only over its
+//!   `CachingSupport`: the contents with a nonzero reward in some slot
+//!   plus the initially cached ones, which gives the same plan bit for
+//!   bit.
 //! * [`solve_caching_lp`] — the paper's literal formulation (eq. 21–22)
 //!   solved with the in-repo simplex; used to cross-check the flow
 //!   solution on small instances.
@@ -207,46 +211,195 @@ pub fn solve_caching_lp(
     })
 }
 
-/// Solves `P1` for every SBS of `problem` given the multiplier tensor,
-/// sequentially. See [`solve_caching_all_with`].
+/// Where the multipliers of one Algorithm 1 solve can be nonzero, and
+/// the per-SBS content support `P1` builds its flow network over.
 ///
-/// # Errors
+/// The active coordinates are the λ-support unioned with the warm
+/// multiplier support: the sparse dual update never writes anywhere
+/// else, so `μ` stays zero outside them for the whole solve. A
+/// content's reward `r_{k,t} = Σ_m μ^t_{n,m,k}` is then zero in every
+/// slot unless one of its coordinates is active, and the support of
+/// SBS `n` is those contents plus the ones cached in `x⁰`. Restricting
+/// the network to it is exact:
 ///
-/// Propagates sub-solver failures.
-pub fn solve_caching_all(
-    problem: &ProblemInstance,
-    mu: &Tensor4,
-) -> Result<(CachePlan, f64), CoreError> {
-    solve_caching_all_with(problem, mu, Parallelism::Sequential)
+/// * With `β > 0`, an uncached zero-reward content can only add the
+///   fetch cost, so no optimal flow (and no shortest augmenting path)
+///   enters it.
+/// * A cached zero-reward content stays in the network, so its
+///   "keep vs. drop" tie is decided exactly as on the full catalog.
+/// * With `β = 0`, the idle pool arc is inserted before every item arc
+///   and a relaxation needs a strict improvement, so the pool path
+///   still wins the tie against an absent content.
+///
+/// Supports are kept in ascending content order, so the surviving arcs
+/// are inserted in the same relative order as in the full network and
+/// the solver breaks ties identically: the plan and the objective are
+/// bit-identical to the full-catalog solve.
+///
+/// Without a sparse index ([`ProblemInstance::with_dense_oracle`])
+/// every coordinate is active and every support is the whole catalog:
+/// the full-catalog network, kept as the test oracle.
+#[derive(Debug, Clone)]
+pub(crate) struct CachingSupport {
+    /// Active flat `(t, n, m, k)` multiplier indices, ascending.
+    active: Vec<usize>,
+    /// `active[starts[t·N + n]..starts[t·N + n + 1]]` lie in slot `t`,
+    /// SBS `n`.
+    starts: Vec<usize>,
+    /// Position of each active coordinate's content in its SBS's
+    /// support (parallel to `active`).
+    columns: Vec<u32>,
+    /// Per SBS, the supported contents in ascending order.
+    contents: Vec<Vec<ContentId>>,
+}
+
+impl CachingSupport {
+    /// Builds the support for a solve of `problem` whose multipliers
+    /// start at `mu`: one scan of `mu` plus one pass over the catalog
+    /// per SBS.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mu` is not shaped for `problem`.
+    #[must_use]
+    pub(crate) fn new(problem: &ProblemInstance, mu: &Tensor4) -> Self {
+        let network = problem.network();
+        let horizon = problem.horizon();
+        let k_total = network.num_contents();
+        let mu_flat = mu.as_slice();
+        assert_eq!(mu_flat.len(), horizon * mu.total_classes() * k_total);
+        let sparse = problem.sparse_enabled();
+        let mut active = Vec::with_capacity(if sparse {
+            problem.nonzeros().total_nonzeros()
+        } else {
+            mu_flat.len()
+        });
+        let mut starts = Vec::with_capacity(horizon * network.num_sbs() + 1);
+        let mut base = 0usize;
+        for t in 0..horizon {
+            for (n, sbs) in network.iter_sbs() {
+                starts.push(active.len());
+                let block = sbs.num_classes() * k_total;
+                if !sparse {
+                    active.extend(base..base + block);
+                    base += block;
+                    continue;
+                }
+                let mu_block = &mu_flat[base..base + block];
+                let mut prev = 0usize;
+                for e in problem.nonzeros().slot(t, n) {
+                    let j = e.idx as usize;
+                    for (w, &m) in mu_block.iter().enumerate().take(j).skip(prev) {
+                        if m != 0.0 {
+                            active.push(base + w);
+                        }
+                    }
+                    active.push(base + j);
+                    prev = j + 1;
+                }
+                for (w, &m) in mu_block.iter().enumerate().skip(prev) {
+                    if m != 0.0 {
+                        active.push(base + w);
+                    }
+                }
+                base += block;
+            }
+        }
+        starts.push(active.len());
+
+        // Every slot block starts at a multiple of K, so an active
+        // index's content is its remainder mod K. `column[k]` is
+        // `UNSEEN`, `SEEN` while SBS `n` is being marked, then the
+        // content's position in the support; reset after each SBS.
+        const UNSEEN: u32 = u32::MAX;
+        const SEEN: u32 = u32::MAX - 1;
+        let num_sbs = network.num_sbs();
+        let mut columns = vec![0u32; active.len()];
+        let mut column = vec![UNSEEN; k_total];
+        let mut contents = Vec::with_capacity(num_sbs);
+        for (n, _) in network.iter_sbs() {
+            let ranges =
+                (0..horizon).map(|t| starts[t * num_sbs + n.0]..starts[t * num_sbs + n.0 + 1]);
+            for range in ranges.clone() {
+                for &idx in &active[range] {
+                    column[idx % k_total] = SEEN;
+                }
+            }
+            let mut support = Vec::new();
+            for (k, col) in column.iter_mut().enumerate() {
+                if *col == SEEN || problem.initial_cache().contains(n, ContentId(k)) {
+                    *col = u32::try_from(support.len()).expect("support fits in u32");
+                    support.push(ContentId(k));
+                }
+            }
+            for range in ranges {
+                for ai in range {
+                    columns[ai] = column[active[ai] % k_total];
+                }
+            }
+            for k in &support {
+                column[k.0] = UNSEEN;
+            }
+            contents.push(support);
+        }
+        CachingSupport {
+            active,
+            starts,
+            columns,
+            contents,
+        }
+    }
+
+    /// The active flat multiplier indices, ascending.
+    #[must_use]
+    pub(crate) fn active(&self) -> &[usize] {
+        &self.active
+    }
+
+    /// The supported contents of SBS `n`, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is out of range.
+    #[must_use]
+    pub(crate) fn contents(&self, n: SbsId) -> &[ContentId] {
+        &self.contents[n.0]
+    }
+
+    /// The active coordinates of slot `t`, SBS `n`, each with the
+    /// position of its content in [`Self::contents`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` or `n` is out of range.
+    pub(crate) fn slot(&self, t: usize, n: SbsId) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let at = t * self.contents.len() + n.0;
+        let range = self.starts[at]..self.starts[at + 1];
+        self.active[range.clone()]
+            .iter()
+            .zip(&self.columns[range])
+            .map(|(&idx, &col)| (idx, col as usize))
+    }
 }
 
 /// Solves `P1` for every SBS of `problem` given the multiplier tensor,
-/// assembling a [`CachePlan`] and the summed objective. Per-SBS flow
+/// over each SBS's content support (see [`CachingSupport`]), and
+/// assembles a [`CachePlan`] and the summed objective. Per-SBS flow
 /// problems fan out per `parallelism`; the plan and objective are
 /// assembled in SBS order, so the result is identical for every
-/// setting.
+/// setting. Per-SBS flow-solve spans go into `metrics`; span
+/// observation happens during the SBS-order assembly, so enabling it
+/// cannot perturb the plan.
+///
+/// `mu` must be zero outside `support`'s active coordinates.
 ///
 /// # Errors
 ///
 /// Propagates sub-solver failures.
-pub fn solve_caching_all_with(
+pub(crate) fn solve_caching_all(
     problem: &ProblemInstance,
     mu: &Tensor4,
-    parallelism: Parallelism,
-) -> Result<(CachePlan, f64), CoreError> {
-    solve_caching_all_observed(problem, mu, parallelism, &SubSolveMetrics::disabled())
-}
-
-/// [`solve_caching_all_with`] recording per-SBS flow-solve spans into
-/// `metrics`. Span observation happens during the SBS-order assembly,
-/// so enabling it cannot perturb the plan.
-///
-/// # Errors
-///
-/// Propagates sub-solver failures.
-pub fn solve_caching_all_observed(
-    problem: &ProblemInstance,
-    mu: &Tensor4,
+    support: &CachingSupport,
     parallelism: Parallelism,
     metrics: &SubSolveMetrics,
 ) -> Result<(CachePlan, f64), CoreError> {
@@ -260,8 +413,8 @@ pub fn solve_caching_all_observed(
         |ws, i| {
             let started = timed.then(Instant::now);
             let sub = SbsSubproblem::new(problem, SbsId(i));
-            sub.fill_rewards(mu, ws);
-            sub.fill_initial_cache(ws);
+            sub.fill_rewards(mu, support, ws);
+            sub.fill_initial_cache(support, ws);
             let res = solve_caching_mcmf(
                 sub.sbs().cache_capacity(),
                 sub.sbs().replacement_cost(),
@@ -283,9 +436,12 @@ pub fn solve_caching_all_observed(
         }
         let n = SbsId(i);
         objective += sol.objective;
+        let contents = support.contents(n);
         for (t, row) in sol.x.iter().enumerate() {
-            for (k, &cached) in row.iter().enumerate() {
-                plan.state_mut(t).set(n, ContentId(k), cached);
+            for (&k, &cached) in contents.iter().zip(row) {
+                if cached {
+                    plan.state_mut(t).set(n, k, true);
+                }
             }
         }
     }

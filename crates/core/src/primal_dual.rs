@@ -18,7 +18,7 @@
 //! budget is exhausted, returning the best feasible plan found.
 
 use crate::accounting::{evaluate_plan, CostBreakdown};
-use crate::caching::solve_caching_all_observed;
+use crate::caching::{solve_caching_all, CachingSupport};
 use crate::loadbalance::{
     solve_load_all_into_observed, solve_load_given_cache_into_observed, solve_load_given_cache_with,
 };
@@ -396,47 +396,18 @@ impl PrimalDualSolver {
         // Every coordinate outside the union keeps a zero load AND a
         // zero multiplier for the whole solve — `[0 + δ·(0 − x)]⁺ = 0` —
         // so skipping it is exact (see `DualAscent::ascend_at`). Built
-        // once per solve with a single dense scan of the (warm)
-        // multipliers; indices are ascending in the flat (t, n, m, k)
-        // layout. Note the clip count and the residual norm below are
-        // then measured over the active set only, so `pd_mu_clipped_total`
-        // and `pd_dual_residual_norm_1e6` can differ from a dense-oracle
-        // run (which also counts cached-but-undemanded coordinates);
-        // decisions and bounds do not.
+        // once per solve, together with the per-SBS content support P1
+        // builds its flow networks over; indices are ascending in the
+        // flat (t, n, m, k) layout. Note the clip count and the residual
+        // norm below are then measured over the active set only, so
+        // `pd_mu_clipped_total` and `pd_dual_residual_norm_1e6` can
+        // differ from a dense-oracle run (which also counts
+        // cached-but-undemanded coordinates); decisions and bounds do
+        // not.
         let k_total = network.num_contents();
         let sparse = problem.sparse_enabled();
-        let active: Vec<usize> = if sparse {
-            let nonzeros = problem.nonzeros();
-            let mu_flat = mu.as_slice();
-            let mut active = Vec::with_capacity(nonzeros.total_nonzeros());
-            let mut base = 0usize;
-            for t in 0..horizon {
-                for (n, sbs) in network.iter_sbs() {
-                    let block = sbs.num_classes() * k_total;
-                    let mu_block = &mu_flat[base..base + block];
-                    let mut prev = 0usize;
-                    for e in nonzeros.slot(t, n) {
-                        let j = e.idx as usize;
-                        for (w, &m) in mu_block.iter().enumerate().take(j).skip(prev) {
-                            if m != 0.0 {
-                                active.push(base + w);
-                            }
-                        }
-                        active.push(base + j);
-                        prev = j + 1;
-                    }
-                    for (w, &m) in mu_block.iter().enumerate().skip(prev) {
-                        if m != 0.0 {
-                            active.push(base + w);
-                        }
-                    }
-                    base += block;
-                }
-            }
-            active
-        } else {
-            Vec::new()
-        };
+        let support = CachingSupport::new(problem, &mu);
+        let active = support.active();
         let min_beta = network
             .iter_sbs()
             .map(|(_, sbs)| sbs.replacement_cost())
@@ -452,7 +423,7 @@ impl PrimalDualSolver {
             // --- Primal step: solve P1 and P2 under current μ. ----------
             let p1_trace = pd.tracer.start("p1");
             let p1_span = pd.p1_us.start_span();
-            let (x_plan, p1_obj) = solve_caching_all_observed(problem, &mu, par, &pd.p1)?;
+            let (x_plan, p1_obj) = solve_caching_all(problem, &mu, &support, par, &pd.p1)?;
             pd.p1_us.record_span(p1_span);
             pd.tracer.finish(p1_trace);
             let p2_trace = pd.tracer.start("p2");
@@ -553,10 +524,10 @@ impl PrimalDualSolver {
                         base = end;
                     }
                 }
-                ascent.ascend_at(&active, &violation);
+                ascent.ascend_at(active, &violation);
                 let mu_flat = mu.as_mut_slice();
                 let mult = ascent.multipliers();
-                for &idx in &active {
+                for &idx in active {
                     mu_flat[idx] = mult[idx];
                 }
             } else {

@@ -18,6 +18,7 @@
 //!   collected by SBS index and reduced in SBS order, so parallel and
 //!   sequential execution produce **bitwise identical** results.
 
+use crate::caching::CachingSupport;
 use crate::cost::CostModel;
 use crate::fastslot::{solve_bs_only_slot_into, FastSlotScratch};
 use crate::plan::{CachePlan, CacheState};
@@ -224,11 +225,11 @@ pub struct SlotWorkspace {
     /// Warm-start fractions in the full `m·K + k` layout; consulted by
     /// [`SlotWorkspace::solve_filled_slot`] when `use_warm` is set.
     pub warm: Vec<f64>,
-    /// `P1` reward rows `r[t][k] = Σ_m μ^t_{n,m,k}`, filled by
-    /// [`SbsSubproblem::fill_rewards`].
+    /// `P1` reward rows `r[t][j] = Σ_m μ^t_{n,m,k}` over the SBS's
+    /// support, filled by `SbsSubproblem::fill_rewards`.
     pub rewards: Vec<Vec<f64>>,
-    /// Initial cache indicator per content, filled by
-    /// [`SbsSubproblem::fill_initial_cache`].
+    /// Initial cache indicator per supported content, filled by
+    /// `SbsSubproblem::fill_initial_cache`.
     pub initially_cached: Vec<bool>,
     /// Solve counters accumulated across [`Self::solve_filled_slot`]
     /// calls; drained by the observed fan-out drivers via
@@ -780,33 +781,44 @@ impl<'a> SbsSubproblem<'a> {
         ws.linear.resize(self.block_len(), 0.0);
     }
 
-    /// Fills the `P1` reward table `r[t][k] = Σ_m μ^t_{n,m,k}` over the
-    /// whole horizon.
-    pub fn fill_rewards(&self, mu: &Tensor4, ws: &mut SlotWorkspace) {
+    /// Fills the `P1` reward table over the whole horizon, compacted to
+    /// the SBS's support: `r[t][j] = Σ_m μ^t_{n,m,k}` for the `j`-th
+    /// content `k` of `support.contents(n)`.
+    ///
+    /// Only active coordinates are summed, in ascending `m` per
+    /// content. Every skipped term is a zero multiplier, and adding
+    /// zero to a sum that starts at `+0.0` keeps its bits, so each
+    /// reward equals the full dense sum.
+    pub(crate) fn fill_rewards(
+        &self,
+        mu: &Tensor4,
+        support: &CachingSupport,
+        ws: &mut SlotWorkspace,
+    ) {
         let horizon = mu.horizon();
-        let k_total = self.num_contents;
-        let m_total = self.sbs.num_classes();
+        let width = support.contents(self.n).len();
+        let mu = mu.as_slice();
         ws.rewards.resize(horizon, Vec::new());
         for (t, row) in ws.rewards.iter_mut().enumerate() {
             row.clear();
-            row.resize(k_total, 0.0);
-            let block = mu.sbs_slot_slice(t, self.n);
-            for m in 0..m_total {
-                for (k, r) in row.iter_mut().enumerate() {
-                    *r += block[m * k_total + k];
-                }
+            row.resize(width, 0.0);
+            for (idx, j) in support.slot(t, self.n) {
+                row[j] += mu[idx];
             }
         }
         ws.rewards.truncate(horizon);
     }
 
-    /// Fills the initial-cache indicator from the problem's pre-horizon
-    /// state.
-    pub fn fill_initial_cache(&self, ws: &mut SlotWorkspace) {
+    /// Fills the initial-cache indicator of the SBS's support from the
+    /// problem's pre-horizon state.
+    pub(crate) fn fill_initial_cache(&self, support: &CachingSupport, ws: &mut SlotWorkspace) {
+        let initial = self.problem.initial_cache();
         ws.initially_cached.clear();
         ws.initially_cached.extend(
-            (0..self.num_contents)
-                .map(|k| self.problem.initial_cache().contains(self.n, ContentId(k))),
+            support
+                .contents(self.n)
+                .iter()
+                .map(|&k| initial.contains(self.n, k)),
         );
     }
 }
@@ -883,10 +895,16 @@ mod tests {
         sub.fill_demand(0, &mut ws);
         assert_eq!(ws.lambda.len(), 6);
         let mu = Tensor4::zeros(problem.network(), 2);
-        sub.fill_rewards(&mu, &mut ws);
+        let full = CachingSupport::new(&problem.clone().with_dense_oracle(), &mu);
+        sub.fill_rewards(&mu, &full, &mut ws);
         assert_eq!(ws.rewards.len(), 2);
         assert_eq!(ws.rewards[0], vec![0.0; 3]);
-        sub.fill_initial_cache(&mut ws);
+        sub.fill_initial_cache(&full, &mut ws);
         assert_eq!(ws.initially_cached, vec![false; 3]);
+        // Zero demand, zero multipliers, empty cache: nothing to support.
+        let compact = CachingSupport::new(&problem, &mu);
+        assert!(compact.contents(SbsId(0)).is_empty());
+        sub.fill_rewards(&mu, &compact, &mut ws);
+        assert_eq!(ws.rewards, vec![Vec::<f64>::new(); 2]);
     }
 }

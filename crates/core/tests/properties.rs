@@ -43,6 +43,38 @@ proptest! {
         }
     }
 
+    /// Restricting P1 to its support (the contents with a nonzero reward
+    /// in some slot, plus the initially cached ones) and scattering the
+    /// plan back reproduces the full-catalog solve bit for bit, on
+    /// sparse rewards with and without a replacement cost.
+    #[test]
+    fn p1_support_reduction_is_bit_exact(
+        k in 1usize..40,
+        horizon in 1usize..6,
+        density_pct in 0usize..60,
+        zero_beta in prop::bool::ANY,
+        seed in 0u64..10_000,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let capacity = rng.gen_range(0..=k + 2);
+        let beta = if zero_beta { 0.0 } else { rng.gen_range(0.0..10.0) };
+        let mut initially = vec![false; k];
+        for _ in 0..capacity {
+            initially[rng.gen_range(0..k)] = true;
+        }
+        let density = density_pct as f64 / 100.0;
+        let rewards: Vec<Vec<f64>> = (0..horizon)
+            .map(|_| {
+                (0..k)
+                    .map(|_| if rng.gen_bool(density) { rng.gen_range(0.0..10.0) } else { 0.0 })
+                    .collect()
+            })
+            .collect();
+        assert_reduction_parity(capacity, beta, &initially, &rewards);
+    }
+
     /// Primal-dual solutions on random tiny scenarios are always feasible
     /// with a valid lower bound.
     #[test]
@@ -162,4 +194,72 @@ fn hold_plan_with_initial_cache_has_no_fetches() {
     let b = evaluate_plan(&problem, &hold, &y);
     assert_eq!(b.replacement_count, 0);
     assert_eq!(b.replacement, 0.0);
+}
+
+/// Restricts a P1 instance to its support, the contents with a nonzero
+/// reward in some slot or cached in `x⁰`, kept in ascending order as
+/// `CachingSupport` keeps them.
+fn compact_p1(initially: &[bool], rewards: &[Vec<f64>]) -> (Vec<usize>, Vec<bool>, Vec<Vec<f64>>) {
+    let support: Vec<usize> = (0..initially.len())
+        .filter(|&k| initially[k] || rewards.iter().any(|row| row[k] != 0.0))
+        .collect();
+    let compact_initially = support.iter().map(|&k| initially[k]).collect();
+    let compact_rewards = rewards
+        .iter()
+        .map(|row| support.iter().map(|&k| row[k]).collect())
+        .collect();
+    (support, compact_initially, compact_rewards)
+}
+
+/// Solves P1 on the full catalog and on its support, and asserts the
+/// scattered-back plan and the objective agree bitwise.
+fn assert_reduction_parity(capacity: usize, beta: f64, initially: &[bool], rewards: &[Vec<f64>]) {
+    let full = solve_caching_mcmf(capacity, beta, initially, rewards).unwrap();
+    let (support, compact_initially, compact_rewards) = compact_p1(initially, rewards);
+    let compact = solve_caching_mcmf(capacity, beta, &compact_initially, &compact_rewards).unwrap();
+    let mut scattered = vec![vec![false; initially.len()]; rewards.len()];
+    for (row, compact_row) in scattered.iter_mut().zip(&compact.x) {
+        for (&k, &cached) in support.iter().zip(compact_row) {
+            row[k] = cached;
+        }
+    }
+    assert_eq!(scattered, full.x, "support-reduced plan diverged");
+    assert_eq!(
+        compact.objective.to_bits(),
+        full.objective.to_bits(),
+        "support-reduced objective diverged: {} vs {}",
+        compact.objective,
+        full.objective
+    );
+}
+
+/// The structural edges of the P1 support reduction.
+#[test]
+fn p1_support_reduction_edges() {
+    let sparse = vec![
+        vec![0.0, 4.0, 0.0, 0.0, 7.5, 0.0],
+        vec![0.0, 0.0, 0.0, 3.0, 7.5, 0.0],
+        vec![2.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ];
+    let zeros = vec![vec![0.0; 6]; 3];
+    let cold = vec![false; 6];
+    // Contents 2 and 5 are cached but never rewarded.
+    let warm = vec![false, false, true, false, false, true];
+    for beta in [0.0, 1.0, 5.0, 50.0] {
+        // Capacity 0, below, equal to and above the support size.
+        for capacity in [0, 1, 2, 4, 5, 6, 9] {
+            assert_reduction_parity(capacity, beta, &cold, &sparse);
+            assert_reduction_parity(capacity, beta, &warm, &sparse);
+            // All-zero rewards: the support is the initial cache alone,
+            // or empty.
+            assert_reduction_parity(capacity, beta, &cold, &zeros);
+            assert_reduction_parity(capacity, beta, &warm, &zeros);
+        }
+    }
+    // Empty support: nothing rewarded, nothing cached.
+    let (support, _, compact_rewards) = compact_p1(&cold, &zeros);
+    assert!(support.is_empty());
+    let empty = solve_caching_mcmf(3, 1.0, &[], &compact_rewards).unwrap();
+    assert_eq!(empty.x, vec![Vec::<bool>::new(); 3]);
+    assert_eq!(empty.objective.to_bits(), 0.0f64.to_bits());
 }

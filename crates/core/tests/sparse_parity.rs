@@ -11,7 +11,8 @@
 use jocal_core::accounting::evaluate_per_slot;
 use jocal_core::ledger::{ledger_slot, ledger_slot_sparse};
 use jocal_core::loadbalance::solve_load_all;
-use jocal_core::primal_dual::{PrimalDualOptions, PrimalDualSolver};
+use jocal_core::plan::LoadPlan;
+use jocal_core::primal_dual::{PrimalDualOptions, PrimalDualSolver, WarmStart};
 use jocal_core::problem::ProblemInstance;
 use jocal_sim::demand::DemandTrace;
 use jocal_sim::scenario::ScenarioConfig;
@@ -32,14 +33,20 @@ fn bits(values: &[f64]) -> Vec<u64> {
 /// Solves and evaluates `demand` on both paths and asserts every
 /// artifact agrees bitwise.
 fn assert_bit_parity(network: &Network, demand: &DemandTrace) {
+    assert_warm_bit_parity(network, demand, None);
+}
+
+/// [`assert_bit_parity`] with both Algorithm 1 solves warm-started from
+/// `warm`.
+fn assert_warm_bit_parity(network: &Network, demand: &DemandTrace, warm: Option<&WarmStart>) {
     let sparse = ProblemInstance::fresh(network.clone(), demand.clone()).unwrap();
     let dense = sparse.clone().with_dense_oracle();
     assert!(sparse.sparse_enabled() && !dense.sparse_enabled());
 
     // Full Algorithm 1 solve: plans, multipliers, bounds, trajectory.
     let solver = PrimalDualSolver::new(options());
-    let s = solver.solve(&sparse).unwrap();
-    let d = solver.solve(&dense).unwrap();
+    let s = solver.solve_with_warm(&sparse, warm).unwrap();
+    let d = solver.solve_with_warm(&dense, warm).unwrap();
     assert_eq!(s.cache_plan, d.cache_plan, "cache plans diverged");
     assert_eq!(
         bits(s.load_plan.tensor().as_slice()),
@@ -163,4 +170,40 @@ fn production_sparse_regime_bit_parity() {
     // density.
     let (network, demand) = masked_scenario(200, 3, 0.01, 11);
     assert_bit_parity(&network, &demand);
+}
+
+#[test]
+fn warm_start_off_support_bit_parity() {
+    // An RHC-style warm start: the previous window's multipliers and
+    // loads shifted one slot. The previous window drew a different
+    // mask, so the warm multipliers are nonzero where the current λ is
+    // zero. Those coordinates carry P1 reward until the dual ascent
+    // clears them; a P1 support built from the λ-support alone would
+    // miss them.
+    for (density, previous_seed, seed) in [(0.1, 21, 22), (0.3, 23, 24), (1.0, 25, 26)] {
+        let (network, previous) = masked_scenario(30, 4, density, previous_seed);
+        let (_, demand) = masked_scenario(30, 4, density, seed);
+        let cold = PrimalDualSolver::new(options())
+            .solve(&ProblemInstance::fresh(network.clone(), previous).unwrap())
+            .unwrap();
+        let warm = WarmStart {
+            mu: cold.mu.shift_time(1),
+            y: LoadPlan::from_tensor(cold.load_plan.tensor().shift_time(1)),
+        };
+        if density < 1.0 {
+            let off_support = (0..demand.horizon()).any(|t| {
+                network.iter_sbs().any(|(n, sbs)| {
+                    let lambda = demand.sbs_slot_slice(t, n);
+                    let mu = warm.mu.sbs_slot_slice(t, n);
+                    (0..sbs.num_classes() * network.num_contents())
+                        .any(|i| mu[i] != 0.0 && lambda[i] == 0.0)
+                })
+            });
+            assert!(
+                off_support,
+                "density {density}: warm μ stays on the λ-support"
+            );
+        }
+        assert_warm_bit_parity(&network, &demand, Some(&warm));
+    }
 }

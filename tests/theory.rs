@@ -18,6 +18,7 @@ use rand::{Rng, SeedableRng};
 #[test]
 fn theorem1_integrality_on_random_instances() {
     let mut rng = StdRng::seed_from_u64(555);
+    let mut sparsify = StdRng::seed_from_u64(556);
     for _ in 0..25 {
         let k = rng.gen_range(2..6);
         let horizon = rng.gen_range(1..6);
@@ -30,6 +31,31 @@ fn theorem1_integrality_on_random_instances() {
         let flow = solve_caching_mcmf(capacity, beta, &initially, &rewards).unwrap();
         let lp = solve_caching_lp(capacity, beta, &initially, &rewards).unwrap();
         let brute = solve_caching_exhaustive(capacity, beta, &initially, &rewards);
+        assert!((flow.objective - brute.objective).abs() < 1e-6);
+        assert!((lp.objective - brute.objective).abs() < 1e-6);
+
+        // Algorithm 1 solves P1 on the reduced network over the
+        // support (rewarded or initially cached contents). Zero the
+        // rewards of some contents and witness integrality there too.
+        let mut sparse = rewards.clone();
+        for j in 0..k {
+            if sparsify.gen_bool(0.5) {
+                for row in &mut sparse {
+                    row[j] = 0.0;
+                }
+            }
+        }
+        let support: Vec<usize> = (0..k)
+            .filter(|&j| initially[j] || sparse.iter().any(|row| row[j] != 0.0))
+            .collect();
+        let reduced_initially: Vec<bool> = support.iter().map(|&j| initially[j]).collect();
+        let reduced: Vec<Vec<f64>> = sparse
+            .iter()
+            .map(|row| support.iter().map(|&j| row[j]).collect())
+            .collect();
+        let brute = solve_caching_exhaustive(capacity, beta, &initially, &sparse);
+        let flow = solve_caching_mcmf(capacity, beta, &reduced_initially, &reduced).unwrap();
+        let lp = solve_caching_lp(capacity, beta, &reduced_initially, &reduced).unwrap();
         assert!((flow.objective - brute.objective).abs() < 1e-6);
         assert!((lp.objective - brute.objective).abs() < 1e-6);
     }
